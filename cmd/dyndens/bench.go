@@ -38,10 +38,7 @@ type benchResult struct {
 	// scaling ratio is scoped vs mirror at equal K.
 	NumCPU int `json:"num_cpu"`
 	// GOMAXPROCS is the scheduler's usable parallelism for the run (it can
-	// be below NumCPU under cgroup limits or an explicit override). Parallel
-	// speedup gates key off it: tools/benchgate skips the ingest-pipeline
-	// floor when a snapshot records 1, where a parallel front-end cannot
-	// beat serial by construction.
+	// be below NumCPU under cgroup limits or an explicit override).
 	GOMAXPROCS int `json:"gomaxprocs"`
 
 	Workload struct {
@@ -133,14 +130,6 @@ type benchResult struct {
 	// provenance. DecaySpeedup is the headline epoch-coalescing gain: batched
 	// vs sequential upd/s on the epoch-decay-burst segment.
 	BatchCompare *batchCompareResult `json:"batch_compare,omitempty"`
-
-	// IngestPipeline is present for -ingest-compare runs: the identical
-	// document workload replayed through the serial in-line front-end and
-	// the pipelined parallel one (fresh engine each; the run fails if their
-	// outputs diverge), timed wall-clock end to end — ReplayStats.Elapsed is
-	// engine-only time and cannot see front-end overlap. The CI gate reads
-	// Speedup as a floor (skipped when GOMAXPROCS records 1).
-	IngestPipeline *ingestPipelineResult `json:"ingest_pipeline,omitempty"`
 
 	// Serve is present for -serve-readers runs: the closed-loop read-path
 	// report (QPS and latency percentiles of snapshot + top-k + story
@@ -265,38 +254,6 @@ type decayModeCompareResult struct {
 	Rescale             modeResult `json:"rescale"`
 	DecaySegmentSpeedup float64    `json:"decay_segment_speedup"`
 	OverallSpeedup      float64    `json:"overall_speedup"`
-}
-
-// ingestPipelineResult is the -ingest-compare JSON block. The wall-clock
-// fields are whole-replay times (source + expansion + engine); the stage
-// busy/stall fields are the pipelined pass's IngestStats, which say where
-// the time went and which side of the handoff queue was the bottleneck.
-type ingestPipelineResult struct {
-	Workers         int     `json:"workers"`
-	Depth           int     `json:"depth"`
-	SerialWallNs    int64   `json:"serial_wall_ns"`
-	PipelinedWallNs int64   `json:"pipelined_wall_ns"`
-	Speedup         float64 `json:"speedup"`
-	SourceBusyNs    int64   `json:"source_busy_ns"`
-	ExpandBusyNs    int64   `json:"expand_busy_ns"`
-	ApplyBusyNs     int64   `json:"apply_busy_ns"`
-	ProducerStallNs int64   `json:"producer_stall_ns"`
-	ConsumerStallNs int64   `json:"consumer_stall_ns"`
-}
-
-func newIngestPipelineResult(serialWall, pipeWall time.Duration, is stream.IngestStats) *ingestPipelineResult {
-	return &ingestPipelineResult{
-		Workers:         is.Workers,
-		Depth:           is.Depth,
-		SerialWallNs:    serialWall.Nanoseconds(),
-		PipelinedWallNs: pipeWall.Nanoseconds(),
-		Speedup:         elapsedSpeedup(serialWall, pipeWall),
-		SourceBusyNs:    is.SourceBusy.Nanoseconds(),
-		ExpandBusyNs:    is.ExpandBusy.Nanoseconds(),
-		ApplyBusyNs:     is.ApplyBusy.Nanoseconds(),
-		ProducerStallNs: is.ProducerStall.Nanoseconds(),
-		ConsumerStallNs: is.ConsumerStall.Nanoseconds(),
-	}
 }
 
 // elapsedSpeedup is reference time / measured time: how many times faster the
@@ -520,8 +477,6 @@ func cmdBench(args []string) error {
 	decay := fs.Float64("decay", 0.7, "per-epoch fading factor (with -docs)")
 	decayModeFlag := fs.String("decay-mode", "rescale", "epoch fading realisation (with -docs): rescale (O(1) ticks) or exact (per-pair sweep)")
 	decayCompare := fs.Bool("decay-compare", false, "replay the -docs workload through exact AND rescaled fading (both epoch-coalesced) and report the decay-segment time ratio as the JSON decay_mode_compare block (single-threaded -docs only)")
-	newAggWorkers := aggWorkersFlag(fs)
-	ingestCompare := fs.Bool("ingest-compare", false, "replay the -docs workload through the serial AND the pipelined ingestion front-end (fresh engine each; outputs must match) and report the wall-clock ratio as the JSON ingest_pipeline block (single-threaded -docs only; workers default to GOMAXPROCS unless -agg-workers is set)")
 	serveReaders := fs.Int("serve-readers", 0, "run N concurrent closed-loop snapshot readers (top-k + story fetches) against the live story view during the measured replay and report read QPS and latency percentiles as the JSON serve block; the readers share the process, so writer throughput and alloc counters include their cost (0 = off)")
 	serveK := fs.Int("serve-k", 10, "top-k size each serve reader queries (with -serve-readers)")
 	walCompare := fs.Bool("wal-compare", false, "replay the -docs workload twice — durability off and on (document WAL + periodic snapshots into a throwaway directory; outputs must match) — and report the overhead as the JSON wal_overhead block (single-threaded rescale -docs only)")
@@ -558,21 +513,6 @@ func cmdBench(args []string) error {
 			return fmt.Errorf("bench: -decay-compare measures rescale against the exact reference; drop -decay-mode %s", benchDecayMode)
 		}
 	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("bench: %w", err)
-	}
-	if *ingestCompare {
-		if !*docsMode {
-			return fmt.Errorf("bench: -ingest-compare requires -docs (the parallel front-end is a document-expansion pipeline)")
-		}
-		if *shards > 0 || *serveReaders > 0 || *batchMode || *decayCompare {
-			return fmt.Errorf("bench: -ingest-compare is incompatible with -shards, -batch, -decay-compare, and -serve-readers")
-		}
-		if aggWorkers == 0 {
-			aggWorkers = runtime.GOMAXPROCS(0)
-		}
-	}
 	if *serveReaders < 0 {
 		return fmt.Errorf("bench: -serve-readers must be ≥ 0, got %d", *serveReaders)
 	}
@@ -583,8 +523,8 @@ func cmdBench(args []string) error {
 		if !*docsMode {
 			return fmt.Errorf("bench: -wal-compare requires -docs (the WAL unit of the document pipeline is the document)")
 		}
-		if *shards > 0 || *serveReaders > 0 || *batchMode || *decayCompare || *ingestCompare || aggWorkers > 0 {
-			return fmt.Errorf("bench: -wal-compare is incompatible with -shards, -batch, -decay-compare, -ingest-compare, -agg-workers, and -serve-readers")
+		if *shards > 0 || *serveReaders > 0 || *batchMode || *decayCompare {
+			return fmt.Errorf("bench: -wal-compare is incompatible with -shards, -batch, -decay-compare, and -serve-readers")
 		}
 		if benchDecayMode != stream.DecayRescale {
 			// The persisted driver is the batch driver; an exact-mode reference
@@ -604,23 +544,14 @@ func cmdBench(args []string) error {
 	// synthetic edge deltas into a counting sink. The factory builds a fresh
 	// pipeline per replay so the -batch comparison can drive the identical
 	// workload through both modes; grace is per-pass because its unit is the
-	// engine tick (updates sequentially, batches when coalescing); workers
-	// selects the ingestion front-end (0 = serial in-line, N = pipelined with
-	// N expansion workers), which never changes the emitted stream.
+	// engine tick (updates sequentially, batches when coalescing).
 	benchAggCfg := func(mode stream.DecayMode) stream.AggregatorConfig {
 		return stream.AggregatorConfig{EpochLength: *epoch, Decay: *decay, DecayMode: mode}
 	}
-	makePipeline := func(grace uint64, mode stream.DecayMode, workers int) (src stream.UpdateSource, front docFrontEnd, tracker *story.Tracker, cleanup func(), err error) {
-		cleanup = func() {}
+	makePipeline := func(grace uint64, mode stream.DecayMode) (src stream.UpdateSource, agg *stream.Aggregator, tracker *story.Tracker, err error) {
 		if !*docsMode {
 			src, err = stream.NewSynthetic(synthCfg)
-			if err == nil && workers > 0 {
-				// Raw edge workloads have no expansion stage; N > 0 decouples
-				// generation onto a producer goroutine, stream unchanged.
-				pipe := stream.NewPipelinedBatchSource(src, *readBatch, stream.PipelineConfig{})
-				src, cleanup = pipe, func() { pipe.Close() }
-			}
-			return src, nil, nil, cleanup, err
+			return src, nil, nil, err
 		}
 		gen, err := stream.NewDocSynthetic(stream.DocSynthConfig{
 			BackgroundEntities: synthCfg.Vertices,
@@ -631,16 +562,15 @@ func cmdBench(args []string) error {
 			BackgroundSkew:     synthCfg.Skew,
 		})
 		if err != nil {
-			return nil, nil, nil, cleanup, err
+			return nil, nil, nil, err
 		}
-		if front, cleanup, err = newDocFrontEnd(gen, benchAggCfg(mode), workers); err != nil {
-			return nil, nil, nil, func() {}, err
+		if agg, err = stream.NewAggregator(gen, benchAggCfg(mode)); err != nil {
+			return nil, nil, nil, err
 		}
 		if tracker, err = story.NewTracker(story.Config{MinCardinality: 3, Grace: grace}); err != nil {
-			cleanup()
-			return nil, nil, nil, func() {}, err
+			return nil, nil, nil, err
 		}
-		return front, front, tracker, cleanup, nil
+		return agg, agg, tracker, nil
 	}
 
 	// graceUpdates is the reference story grace window in per-update ticks.
@@ -655,7 +585,7 @@ func cmdBench(args []string) error {
 		// The two fading modes are tick-aligned by construction (exact mode
 		// also emits a decay group at every epoch crossing), so one pre-drain
 		// measures the batch structure for both -decay-compare passes.
-		src, _, _, _, err := makePipeline(graceUpdates, benchDecayMode, 0)
+		src, _, _, err := makePipeline(graceUpdates, benchDecayMode)
 		if err != nil {
 			return err
 		}
@@ -719,9 +649,6 @@ func cmdBench(args []string) error {
 		if *serveReaders > 0 {
 			return fmt.Errorf("bench: -scale is incompatible with -serve-readers")
 		}
-		if aggWorkers > 0 {
-			return fmt.Errorf("bench: -scale is incompatible with -agg-workers (the curve isolates engine-side parallelism)")
-		}
 		ks, err := parseScaleList(*scaleList)
 		if err != nil {
 			return err
@@ -729,20 +656,23 @@ func cmdBench(args []string) error {
 		return runBenchScale(ctx, ks, synthCfg, engCfg, *readBatch, *batchMode, *jsonOut)
 	}
 
-	header := func(cfg core.Config, extra string) {
+	// Reports record the user's configuration: in rescale mode the engine's
+	// own Config carries the normalized threshold, which is an internal unit.
+	userCfg := engCfg.WithDefaults()
+	header := func(extra string) {
 		fmt.Printf("bench: %d vertices, %d updates (seed=%d skew=%g neg=%g mean=%g) | %s T=%g Nmax=%d δit=%.4g batch=%d%s\n",
 			synthCfg.Vertices, synthCfg.Updates, synthCfg.Seed, synthCfg.Skew, synthCfg.NegativeFraction, synthCfg.MeanDelta,
-			cfg.Measure.Name(), cfg.T, cfg.Nmax, cfg.DeltaIt, *readBatch, extra)
+			userCfg.Measure.Name(), userCfg.T, userCfg.Nmax, userCfg.DeltaIt, *readBatch, extra)
 	}
 
 	var result benchResult
-	finishJSON := func(front docFrontEnd, tracker *story.Tracker) error {
+	finishJSON := func(agg *stream.Aggregator, tracker *story.Tracker) error {
 		if *jsonOut == "" {
 			return nil
 		}
-		// front is nil when a raw workload carries a serving-only tracker.
-		if tracker != nil && front != nil {
-			result.DocPipeline = newDocPipelineResult(*docStories, *docStorySize, benchAggCfg(benchDecayMode), front.Stats(), tracker)
+		// agg is nil when a raw workload carries a serving-only tracker.
+		if tracker != nil && agg != nil {
+			result.DocPipeline = newDocPipelineResult(*docStories, *docStorySize, benchAggCfg(benchDecayMode), agg.Stats(), tracker)
 			result.Workload.NegativeFraction, result.Workload.MeanDelta = 0, 0
 		}
 		return result.writeJSON(*jsonOut)
@@ -757,11 +687,10 @@ func cmdBench(args []string) error {
 		if *batchMode {
 			grace = batchedGrace
 		}
-		src, front, tracker, cleanup, err := makePipeline(grace, benchDecayMode, aggWorkers)
+		src, agg, tracker, err := makePipeline(grace, benchDecayMode)
 		if err != nil {
 			return err
 		}
-		defer cleanup()
 		se, err := shard.New(shard.Config{Shards: *shards, Engine: engCfg, Overlap: overlap})
 		if err != nil {
 			return err
@@ -825,7 +754,7 @@ func cmdBench(args []string) error {
 		if *batchMode {
 			extra += " batched"
 		}
-		header(se.Config().Engine.WithDefaults(), extra)
+		header(extra)
 		fmt.Println(st)
 		fmt.Printf("sink:   became=%d ceased=%d (net output-dense=%d, deduped=%d)\n",
 			sink.Became, sink.Ceased, se.OutputDenseCount(), stats.DedupedEvents)
@@ -836,15 +765,15 @@ func cmdBench(args []string) error {
 		} else if tracker != nil {
 			tracker.Close(uint64(st.Ticks))
 		}
-		if tracker != nil && front != nil {
-			printDocBenchSummary(front, tracker)
+		if tracker != nil && agg != nil {
+			printDocBenchSummary(agg, tracker)
 		}
 		if bld != nil {
 			printServeSummary(loadStats, bld.View())
 		}
 		fmt.Println(shardedSummary(stats))
 		if *jsonOut != "" {
-			result.fillCommon(synthCfg, se.Config().Engine.WithDefaults(), *shards, *readBatch)
+			result.fillCommon(synthCfg, userCfg, *shards, *readBatch)
 			result.fillThroughput(st.Updates, st.Wall)
 			result.fillEngineStats(stats.Aggregate)
 			result.Batched = *batchMode
@@ -865,7 +794,7 @@ func cmdBench(args []string) error {
 			if bld != nil {
 				result.Serve = newServeBenchResult(loadStats, bld.View())
 			}
-			return finishJSON(front, tracker)
+			return finishJSON(agg, tracker)
 		}
 		return nil
 	}
@@ -878,31 +807,30 @@ func cmdBench(args []string) error {
 	type singleRun struct {
 		eng         *core.Engine
 		sink        *core.CountingSink
-		agg         docFrontEnd
+		agg         *stream.Aggregator
 		tracker     *story.Tracker
 		bld         *serve.Builder
 		load        serve.LoadStats
 		st          stream.ReplayStats
-		wall        time.Duration // whole-replay wall clock, source + front-end + engine
+		wall        time.Duration // whole-replay wall clock, source + aggregation + engine
 		allocs      float64
 		bytes       float64
 		interrupted bool // signal mid-pass: st is partial, nothing downstream of it is valid
 	}
-	runOnce := func(coalesce bool, mode stream.DecayMode, workers int) (*singleRun, error) {
+	runOnce := func(coalesce bool, mode stream.DecayMode) (*singleRun, error) {
 		grace := uint64(graceUpdates)
 		if (*batchMode || *decayCompare) && coalesce {
 			grace = batchedGrace
 		}
-		src, front, tracker, cleanup, err := makePipeline(grace, mode, workers)
+		src, agg, tracker, err := makePipeline(grace, mode)
 		if err != nil {
 			return nil, err
 		}
-		defer cleanup()
 		eng, err := core.New(engCfg)
 		if err != nil {
 			return nil, err
 		}
-		run := &singleRun{eng: eng, sink: &core.CountingSink{}, agg: front, tracker: tracker}
+		run := &singleRun{eng: eng, sink: &core.CountingSink{}, agg: agg, tracker: tracker}
 		// Serve readers attach only to the measured pass (coalesce is always
 		// true for it), never to the -batch sequential baseline; raw
 		// workloads get a tracker just for serving.
@@ -933,23 +861,18 @@ func cmdBench(args []string) error {
 			ld = serve.StartLoad(run.bld.View(), serve.LoadConfig{Readers: *serveReaders, TopK: *serveK, Seed: 1})
 		}
 		mem := takeMemSnapshot()
-		// The replay goroutine carries a stage=engine pprof label so CPU
-		// profiles split engine time from the front-end stages (the pipeline
-		// labels its own goroutines stage=parse/expand/apply); wall is the
-		// whole-replay clock the -ingest-compare ratio is built from.
+		// wall is the whole-replay clock the -wal-compare ratio is built from.
 		wallStart := time.Now()
-		pprof.Do(context.Background(), pprof.Labels("stage", "engine"), func(context.Context) {
-			switch {
-			case *batchMode || *decayCompare:
-				run.st, err = r.RunBatches(*readBatch, coalesce)
-			case *docsMode && mode == stream.DecayRescale:
-				// Rescaled decay is batch-structured (threshold epoch units), so
-				// the non-coalescing replay still runs through the batch driver.
-				run.st, err = r.RunBatches(*readBatch, false)
-			default:
-				run.st, err = r.Run(*readBatch)
-			}
-		})
+		switch {
+		case *batchMode || *decayCompare:
+			run.st, err = r.RunBatches(*readBatch, coalesce)
+		case *docsMode && mode == stream.DecayRescale:
+			// Rescaled decay is batch-structured (threshold epoch units), so
+			// the non-coalescing replay still runs through the batch driver.
+			run.st, err = r.RunBatches(*readBatch, false)
+		default:
+			run.st, err = r.Run(*readBatch)
+		}
 		run.wall = time.Since(wallStart)
 		if errors.Is(err, stream.ErrStopped) {
 			run.interrupted = true
@@ -982,7 +905,7 @@ func cmdBench(args []string) error {
 	var seq *singleRun
 	if *batchMode {
 		// Sequential baseline pass for the comparison.
-		if seq, err = runOnce(false, benchDecayMode, aggWorkers); err != nil {
+		if seq, err = runOnce(false, benchDecayMode); err != nil {
 			return err
 		}
 		if seq.interrupted {
@@ -994,26 +917,14 @@ func cmdBench(args []string) error {
 	// below is the rescaled one and fills the main result fields.
 	var exactRef *singleRun
 	if *decayCompare {
-		if exactRef, err = runOnce(true, stream.DecayExact, aggWorkers); err != nil {
+		if exactRef, err = runOnce(true, stream.DecayExact); err != nil {
 			return err
 		}
 		if exactRef.interrupted {
 			return benchInterrupted(exactRef.st)
 		}
 	}
-	// With -ingest-compare the serial-front-end reference pass runs first over
-	// the identical workload; the measured pass below runs the pipelined
-	// front-end and fills the main result fields.
-	var serialRef *singleRun
-	if *ingestCompare {
-		if serialRef, err = runOnce(true, benchDecayMode, 0); err != nil {
-			return err
-		}
-		if serialRef.interrupted {
-			return benchInterrupted(serialRef.st)
-		}
-	}
-	measured, err := runOnce(true, benchDecayMode, aggWorkers)
+	measured, err := runOnce(true, benchDecayMode)
 	if err != nil {
 		return err
 	}
@@ -1112,41 +1023,19 @@ func cmdBench(args []string) error {
 				walRun.sink.Became, measured.sink.Became, walRun.sink.Ceased, measured.sink.Ceased)
 		}
 	}
-	if serialRef != nil {
-		// The pipeline's determinism contract makes the comparison honest:
-		// both passes must have replayed the identical update stream into
-		// identical story/event outcomes, or the ratio measures divergence,
-		// not overlap.
-		if measured.st.Updates != serialRef.st.Updates || measured.st.Ticks != serialRef.st.Ticks ||
-			measured.sink.Became != serialRef.sink.Became || measured.sink.Ceased != serialRef.sink.Ceased {
-			return fmt.Errorf("bench: pipelined front-end diverged from serial (updates %d vs %d, ticks %d vs %d, became %d vs %d, ceased %d vs %d)",
-				measured.st.Updates, serialRef.st.Updates, measured.st.Ticks, serialRef.st.Ticks,
-				measured.sink.Became, serialRef.sink.Became, measured.sink.Ceased, serialRef.sink.Ceased)
-		}
-	}
 
 	extra := ""
 	if *batchMode {
 		extra = " batched"
 	}
-	header(measured.eng.Config(), extra)
+	header(extra)
 	if seq != nil {
 		fmt.Printf("sequential: %v\n", seq.st)
 	}
 	if exactRef != nil {
 		fmt.Printf("exact:      %v\n", exactRef.st)
 	}
-	if serialRef != nil {
-		fmt.Printf("serial-ingest: %v (wall %v)\n", serialRef.st, serialRef.wall.Round(time.Microsecond))
-	}
 	fmt.Println(measured.st)
-	if serialRef != nil {
-		// Wall-clock ratio, not engine upd/s: the front-end's win is overlap,
-		// which engine-only elapsed time cannot see by construction.
-		fmt.Printf("ingest speedup: %.2fx wall-clock (pipelined %d-worker front-end %v vs serial %v)\n",
-			elapsedSpeedup(serialRef.wall, measured.wall), aggWorkers,
-			measured.wall.Round(time.Microsecond), serialRef.wall.Round(time.Microsecond))
-	}
 	if exactRef != nil {
 		// Elapsed-time ratio, not upd/s: the rescaled decay segment processes
 		// ~zero per-pair updates, so a throughput ratio would be meaningless.
@@ -1184,7 +1073,7 @@ func cmdBench(args []string) error {
 	}
 	fmt.Println(engineSummary(measured.eng))
 	if *jsonOut != "" {
-		result.fillCommon(synthCfg, measured.eng.Config(), 0, *readBatch)
+		result.fillCommon(synthCfg, userCfg, 0, *readBatch)
 		result.fillThroughput(measured.st.Updates, measured.st.Elapsed)
 		result.fillEngineStats(measured.eng.Stats())
 		result.Batched = *batchMode
@@ -1208,9 +1097,6 @@ func cmdBench(args []string) error {
 				DecaySegmentSpeedup: elapsedSpeedup(exactRef.st.DecaySeg.Elapsed, measured.st.DecaySeg.Elapsed),
 				OverallSpeedup:      elapsedSpeedup(exactRef.st.Elapsed, measured.st.Elapsed),
 			}
-		}
-		if serialRef != nil && measured.st.Ingest != nil {
-			result.IngestPipeline = newIngestPipelineResult(serialRef.wall, measured.wall, *measured.st.Ingest)
 		}
 		if walRun != nil {
 			result.WALOverhead = &walOverheadResult{
@@ -1423,7 +1309,7 @@ func runBenchScale(ctx context.Context, ks []int, synthCfg stream.SynthConfig, e
 }
 
 // printDocBenchSummary prints the -docs mode aggregation and story counters.
-func printDocBenchSummary(agg docFrontEnd, tracker *story.Tracker) {
+func printDocBenchSummary(agg *stream.Aggregator, tracker *story.Tracker) {
 	fmt.Println(agg.Stats())
 	st := tracker.Stats()
 	fmt.Printf("story:  born=%d split=%d updated=%d merged=%d died=%d | live=%d fading=%d\n",

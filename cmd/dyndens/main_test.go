@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"dyndens/internal/core"
 )
 
 // The golden-file tests pin the CLI surface: a seeded `gen` must produce a
@@ -295,35 +298,6 @@ func TestStoriesShardedLifecycleParity(t *testing.T) {
 	}
 }
 
-// TestStoriesAggWorkersLifecycleParity pins the CLI end of the pipelined
-// front-end's determinism contract: the full lifecycle log must be identical
-// between the serial in-line aggregator and the parallel pipeline at every
-// worker count (the internal/stream conformance matrix pins the update
-// stream itself; this covers the flag wiring and the Stats plumbing).
-func TestStoriesAggWorkersLifecycleParity(t *testing.T) {
-	input := filepath.Join("testdata", "docs_small.docs")
-	run := func(workers string) (lifecycle []string, raw string) {
-		out := captureStdout(t, func() error {
-			return cmdStoriesRun([]string{"-input", input, "-agg-workers", workers})
-		})
-		return storyLifecycleLines(out), out
-	}
-	ref, _ := run("0")
-	if len(ref) == 0 {
-		t.Fatal("serial stories run produced no lifecycle output")
-	}
-	for _, workers := range []string{"1", "2", "4"} {
-		got, raw := run(workers)
-		if strings.Join(got, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("lifecycle output differs between serial and -agg-workers %s:\n--- serial ---\n%s\n--- pipelined ---\n%s",
-				workers, strings.Join(ref, "\n"), strings.Join(got, "\n"))
-		}
-		if !strings.Contains(raw, "ingest{") {
-			t.Errorf("-agg-workers %s summary is missing the ingest{...} stage accounting:\n%s", workers, raw)
-		}
-	}
-}
-
 // TestStoriesRunSynthMatchesFileInput checks that -synth with the golden
 // flags reproduces the committed document stream's lifecycle output (the
 // file is itself a gen-docs capture of the default configuration).
@@ -377,6 +351,44 @@ func TestBenchDocsMode(t *testing.T) {
 		if !strings.Contains(out, "story:  born=") {
 			t.Errorf("shards=%s: missing story summary:\n%s", shards, out)
 		}
+	}
+}
+
+// TestBenchDocsRecordsUserUnits pins that a rescale-mode -docs bench reports
+// the configuration the user gave: the engine runs on a normalized threshold
+// that grows with every epoch tick, and that internal unit must not leak into
+// the printed header or the JSON config block.
+func TestBenchDocsRecordsUserUnits(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "bench.json")
+	out := captureStdout(t, func() error {
+		return cmdBench([]string{"-docs", "-vertices", "30", "-updates", "600", "-seed", "7",
+			"-skew", "1.1", "-T", "6.5", "-nmax", "4", "-json", jsonPath})
+	})
+	if !strings.Contains(out, " T=6.5 ") {
+		t.Errorf("header does not report the user threshold T=6.5:\n%s", out)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Config struct {
+			T       float64 `json:"t"`
+			DeltaIt float64 `json:"delta_it"`
+		} `json:"config"`
+		DocPipeline struct {
+			ThresholdUpdates int `json:"threshold_updates"`
+		} `json:"doc_pipeline"`
+	}
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.DocPipeline.ThresholdUpdates == 0 {
+		t.Fatal("workload crossed no epoch; the engine threshold never moved and the check is vacuous")
+	}
+	want := core.Config{T: 6.5, Nmax: 4}.WithDefaults()
+	if res.Config.T != want.T || res.Config.DeltaIt != want.DeltaIt {
+		t.Errorf("config t=%g delta_it=%g, want the user's t=%g delta_it=%g", res.Config.T, res.Config.DeltaIt, want.T, want.DeltaIt)
 	}
 }
 

@@ -33,7 +33,6 @@ func cmdRun(args []string) error {
 	batchMode := fs.Bool("batch", false, "coalesce batches through Engine.ProcessBatch (batches delimited by `%%` lines, split at -read-batch; net events per batch)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
-	newAggWorkers := aggWorkersFlag(fs)
 	quiet := fs.Bool("quiet", false, "suppress per-event output, print only the summary")
 	minCard := fs.Int("min-card", 0, "only report subgraphs with at least this many vertices")
 	watch := fs.String("watch", "", "comma-separated vertex watchlist; only report subgraphs containing one")
@@ -58,23 +57,15 @@ func cmdRun(args []string) error {
 	if _, err := newOverlap(); err != nil {
 		return err
 	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
 	walOpts, err := newWAL()
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
-	}
-	if walOpts.enabled() && aggWorkers > 0 {
-		return fmt.Errorf("run: -wal is incompatible with -agg-workers (the WAL logs units on the replay goroutine; a pipelined producer would race it)")
 	}
 	watchSet, err := parseWatchlist(*watch)
 	if err != nil {
 		return err
 	}
 
-	var src stream.UpdateSource
 	var fileSrc *stream.FileSource
 	if *input == "-" {
 		fileSrc = stream.NewReaderSource("stdin", os.Stdin)
@@ -86,30 +77,20 @@ func cmdRun(args []string) error {
 		defer f.Close()
 		fileSrc = f
 	}
-	if *batchMode || aggWorkers > 0 || walOpts.enabled() {
+	if *batchMode || walOpts.enabled() {
 		// Memory guard for coalesced replay: a marker-less stream is one
 		// whole-stream batch, so cap batches at the read size — runs longer
 		// than -read-batch split into their own ticks. SetMaxBatch treats
 		// n ≤ 0 as "no cap", which would silently disable the guard; reject
-		// it here like the sequential driver does. The pipelined front-end
-		// needs the same cap: its handoff unit is the source batch, and an
-		// unbounded batch would buffer the whole stream in one queue entry.
-		// The WAL needs it too: its frame unit is the source batch, and the
-		// cap makes the framing a deterministic function of -read-batch.
+		// it here like the sequential driver does. The WAL needs it too: its
+		// frame unit is the source batch, and the cap makes the framing a
+		// deterministic function of -read-batch.
 		if *batch <= 0 {
 			return fmt.Errorf("run: -read-batch must be positive, got %d", *batch)
 		}
 		fileSrc.SetMaxBatch(*batch)
 	}
-	src = fileSrc
-	if aggWorkers > 0 {
-		// Edge streams have no expansion stage, so N > 0 just moves reading
-		// and parsing onto a producer goroutine that runs ahead of the engine
-		// behind a bounded handoff queue; the batch sequence is unchanged.
-		pipe := stream.NewPipelinedBatchSource(fileSrc, *batch, stream.PipelineConfig{})
-		defer pipe.Close()
-		src = pipe
-	}
+	var src stream.UpdateSource = fileSrc
 
 	// Durability: log every source batch to the WAL and recover past state at
 	// open. The fingerprint binds the directory to everything that shapes the

@@ -47,7 +47,6 @@ func cmdServe(args []string) error {
 	batchMode := fs.Bool("batch", false, "epoch coalescing: ship each decay burst and each document's deltas whole as one Engine.ProcessBatch (story grace then counts batch ticks)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
-	newAggWorkers := aggWorkersFlag(fs)
 	quiet := fs.Bool("quiet", false, "suppress the streaming lifecycle log on stdout")
 	exitAfter := fs.Bool("exit-after-ingest", false, "shut down once the input is exhausted instead of serving the final table indefinitely")
 	linger := fs.Duration("linger", 0, "with -exit-after-ingest: keep serving this long after ingestion completes")
@@ -68,16 +67,9 @@ func cmdServe(args []string) error {
 	if _, err := newOverlap(); err != nil {
 		return err
 	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
 	walOpts, err := newWAL()
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if walOpts.enabled() && aggWorkers > 0 {
-		return fmt.Errorf("serve: -wal is incompatible with -agg-workers (the WAL logs documents on the replay goroutine; a pipelined producer would race it)")
 	}
 	engCfg, err := newEngineCfg()
 	if err != nil {
@@ -139,20 +131,10 @@ func cmdServe(args []string) error {
 		docs = pst.Docs(docs)
 	}
 
-	var front docFrontEnd
-	var agg *stream.Aggregator
-	closeFront := func() {}
-	if pst != nil {
-		// The persisted path pins the serial in-line aggregator; see
-		// cmdStoriesRun.
-		if agg, err = persist.RestoreAggregator(docs, aggCfg, restored); err != nil {
-			return err
-		}
-		front = agg
-	} else if front, closeFront, err = newDocFrontEnd(docs, aggCfg, aggWorkers); err != nil {
+	agg, err := persist.RestoreAggregator(docs, aggCfg, restored)
+	if err != nil {
 		return err
 	}
-	defer closeFront()
 	tracker, err := persist.RestoreTracker(trkCfg, restored)
 	if err != nil {
 		return err
@@ -273,7 +255,7 @@ func cmdServe(args []string) error {
 		var err error
 		var interrupted bool
 		if se != nil {
-			r := stream.NewShardReplay(front, se, nil)
+			r := stream.NewShardReplay(agg, se, nil)
 			capture := func() (*persist.PipelineState, error) {
 				bld.Sync()
 				ps, cerr := persist.CaptureSharded(se, agg, tracker)
@@ -310,13 +292,13 @@ func cmdServe(args []string) error {
 				ingestState.Store(&ingestSummary{Complete: true, Updates: st.Updates, Ticks: st.Ticks, UpdatesPerSecond: st.UpdatesPerSecond()})
 				summarize = func() {
 					fmt.Println(st)
-					fmt.Println(front.Stats())
+					fmt.Println(agg.Stats())
 					printStoryTable(tracker)
 					fmt.Println(shardedSummary(se.Stats()))
 				}
 			}
 		} else {
-			r := stream.NewReplay(front, eng, bld)
+			r := stream.NewReplay(agg, eng, bld)
 			capture := func() (*persist.PipelineState, error) {
 				bld.Sync()
 				ps, cerr := persist.CaptureSingle(eng, agg, tracker)
@@ -347,7 +329,7 @@ func cmdServe(args []string) error {
 				ingestState.Store(&ingestSummary{Complete: true, Updates: st.Updates, Ticks: st.Ticks, UpdatesPerSecond: st.UpdatesPerSecond()})
 				summarize = func() {
 					fmt.Println(st)
-					fmt.Println(front.Stats())
+					fmt.Println(agg.Stats())
 					printStoryTable(tracker)
 					fmt.Println(engineSummary(eng))
 				}

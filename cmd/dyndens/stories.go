@@ -236,7 +236,6 @@ func cmdStoriesRun(args []string) error {
 	batchMode := fs.Bool("batch", false, "epoch coalescing: ship each decay burst and each document's deltas whole as one Engine.ProcessBatch (story grace then counts batch ticks)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
-	newAggWorkers := aggWorkersFlag(fs)
 	quiet := fs.Bool("quiet", false, "suppress the streaming lifecycle log, print only summaries and the table")
 	newSynthCfg := docSynthFlags(fs)
 	newAggCfg := aggregatorFlags(fs)
@@ -252,16 +251,9 @@ func cmdStoriesRun(args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("stories run: -shards must be ≥ 0, got %d", *shards)
 	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("stories run: %w", err)
-	}
 	walOpts, err := newWAL()
 	if err != nil {
 		return fmt.Errorf("stories run: %w", err)
-	}
-	if walOpts.enabled() && aggWorkers > 0 {
-		return fmt.Errorf("stories run: -wal is incompatible with -agg-workers (the WAL logs documents on the replay goroutine; a pipelined producer would race it)")
 	}
 	// Validate even for the single-threaded path, where the value is unused —
 	// a typo'd -overlap should fail loudly regardless of -shards.
@@ -332,20 +324,10 @@ func cmdStoriesRun(args []string) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var front docFrontEnd
-	var agg *stream.Aggregator
-	closeFront := func() {}
-	if pst != nil {
-		// The persisted path pins the serial in-line aggregator: its Drained
-		// boundaries are the consistent snapshot points.
-		if agg, err = persist.RestoreAggregator(docs, aggCfg, restored); err != nil {
-			return err
-		}
-		front = agg
-	} else if front, closeFront, err = newDocFrontEnd(docs, aggCfg, aggWorkers); err != nil {
+	agg, err := persist.RestoreAggregator(docs, aggCfg, restored)
+	if err != nil {
 		return err
 	}
-	defer closeFront()
 	tracker, err := persist.RestoreTracker(trkCfg, restored)
 	if err != nil {
 		return err
@@ -394,7 +376,7 @@ func cmdStoriesRun(args []string) error {
 		}
 		defer se.Close()
 		se.SetSeqSink(tracker)
-		r := stream.NewShardReplay(front, se, nil)
+		r := stream.NewShardReplay(agg, se, nil)
 		capture := func() (*persist.PipelineState, error) {
 			ps, err := persist.CaptureSharded(se, agg, tracker)
 			if err != nil {
@@ -431,7 +413,7 @@ func cmdStoriesRun(args []string) error {
 			tracker.Close(baseTicks + uint64(st.Ticks))
 		}
 		fmt.Println(st)
-		fmt.Println(front.Stats())
+		fmt.Println(agg.Stats())
 		printStoryTable(tracker)
 		fmt.Println(shardedSummary(se.Stats()))
 		return closeWALStore(pst, walOpts, interrupted)
@@ -441,7 +423,7 @@ func cmdStoriesRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	r := stream.NewReplay(front, eng, tracker)
+	r := stream.NewReplay(agg, eng, tracker)
 	capture := func() (*persist.PipelineState, error) {
 		ps, err := persist.CaptureSingle(eng, agg, tracker)
 		if err != nil {
@@ -474,7 +456,7 @@ func cmdStoriesRun(args []string) error {
 		tracker.Close(baseTicks + uint64(st.Ticks))
 	}
 	fmt.Println(st)
-	fmt.Println(front.Stats())
+	fmt.Println(agg.Stats())
 	printStoryTable(tracker)
 	fmt.Println(engineSummary(eng))
 	return closeWALStore(pst, walOpts, interrupted)

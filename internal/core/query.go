@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"dyndens/internal/vset"
@@ -167,8 +168,10 @@ func (e *Engine) expanded(explicit []Subgraph, include func(score float64, n int
 func (e *Engine) Contains(c vset.Set) bool { return e.ix.HasDense(c) }
 
 // ValidateIndex checks the internal consistency of the dense-subgraph index
-// and, additionally, that every stored score matches the graph. It returns
-// "" when consistent; it is intended for tests and debugging.
+// and, additionally, that every stored score matches the graph to within
+// max(1e-6, 1e-9·|score|): under rescaled decay scores are normalized by λ
+// and reach 1e150, where float rounding alone exceeds any absolute bound.
+// It returns "" when consistent; it is intended for tests and debugging.
 func (e *Engine) ValidateIndex() string {
 	if msg := e.ix.Validate(); msg != "" {
 		return msg
@@ -176,7 +179,7 @@ func (e *Engine) ValidateIndex() string {
 	for _, n := range e.ix.DenseNodes() {
 		c := n.Set()
 		want := e.g.Score(c)
-		if diff := n.Score() - want; diff > 1e-6 || diff < -1e-6 {
+		if math.Abs(n.Score()-want) > max(1e-6, 1e-9*math.Abs(want)) {
 			return "stored score drift for " + c.String()
 		}
 		if !e.th.IsDense(n.Score(), c.Len()) {

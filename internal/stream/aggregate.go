@@ -337,35 +337,8 @@ func (g *Aggregator) ingest() (err error) {
 	if err != nil {
 		return err // io.EOF ends the update stream with the document stream
 	}
-	g.pairBuf = appendDocPairs(g.pairBuf[:0], doc.Entities)
-	return g.ingestExpanded(doc.Time, g.pairBuf)
-}
-
-// appendDocPairs appends a document's co-occurrence pair keys to buf in
-// emission order. Entity sets are sorted and strictly increasing, so the
-// nested i<j enumeration yields keys already in sorted order with a < b —
-// no swap, no sort. This is the O(m²) half of ingestion that the pipelined
-// front-end runs on expansion workers; it is a pure function of the entity
-// set, which is what makes it safe to run out of document order.
-func appendDocPairs(buf []pairKey, ents vset.Set) []pairKey {
-	for i := 0; i < len(ents); i++ {
-		for j := i + 1; j < len(ents); j++ {
-			buf = append(buf, pairKey(uint64(uint32(ents[i]))<<32|uint64(uint32(ents[j]))))
-		}
-	}
-	return buf
-}
-
-// ingestExpanded is the sequential core of ingest: it queues the epoch tick
-// (if docTime crossed a boundary) and the document's co-occurrence updates,
-// given the document's pre-expanded pair keys. Every weight-table mutation,
-// retirement-heap re-key, and λ tick happens here, in document order — the
-// pipelined front-end's sequencer calls this directly, so parallel expansion
-// produces a batch stream identical to the serial one by construction rather
-// than by re-implementation. pairs is borrowed for the duration of the call.
-func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
-	if g.started && docTime < g.lastTime {
-		return fmt.Errorf("stream: document time went backwards: %d after %d", docTime, g.lastTime)
+	if g.started && doc.Time < g.lastTime {
+		return fmt.Errorf("stream: document time went backwards: %d after %d", doc.Time, g.lastTime)
 	}
 	g.pending = g.pending[:0]
 	g.pos = 0
@@ -373,7 +346,7 @@ func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 	g.pendingThreshold = nil
 	g.stats.Docs++
 
-	epoch := docTime / g.cfg.EpochLength
+	epoch := doc.Time / g.cfg.EpochLength
 	if !g.started {
 		g.started = true
 		g.epoch = epoch
@@ -386,10 +359,11 @@ func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 		g.epoch = epoch
 	}
 	g.decayEnd = len(g.pending)
-	g.lastTime = docTime
+	g.lastTime = doc.Time
 
 	docWeight := g.cfg.DocWeight / g.lambda // λ = 1 in exact mode
-	for _, k := range pairs {
+	g.pairBuf = appendDocPairs(g.pairBuf[:0], doc.Entities)
+	for _, k := range g.pairBuf {
 		w, tracked := g.weights.add(k, docWeight)
 		if !tracked {
 			g.trackPair(k, w)
@@ -399,6 +373,19 @@ func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 		g.stats.PairUpdates++
 	}
 	return nil
+}
+
+// appendDocPairs appends a document's co-occurrence pair keys to buf in
+// emission order. Entity sets are sorted and strictly increasing, so the
+// nested i<j enumeration yields keys already in sorted order with a < b —
+// no swap, no sort.
+func appendDocPairs(buf []pairKey, ents vset.Set) []pairKey {
+	for i := 0; i < len(ents); i++ {
+		for j := i + 1; j < len(ents); j++ {
+			buf = append(buf, pairKey(uint64(uint32(ents[i]))<<32|uint64(uint32(ents[j]))))
+		}
+	}
+	return buf
 }
 
 // trackPair registers a pair that just went absent→present: exact mode keeps

@@ -443,3 +443,33 @@ func TestRescaleRenormalization(t *testing.T) {
 		}
 	}
 }
+
+// TestRescaleValidateIndexLongHorizon replays a long rescaled stream at decay
+// 0.85: λ falls by dozens of orders of magnitude, so the index stores
+// normalized scores far above 1e20. Float rounding alone then exceeds any
+// fixed absolute tolerance; ValidateIndex must judge stored scores relative
+// to their magnitude and report the index consistent.
+func TestRescaleValidateIndexLongHorizon(t *testing.T) {
+	gen, err := NewDocSynthetic(DocSynthConfig{
+		BackgroundEntities: 300, Stories: 3, StorySize: 4, Docs: 20_000, Seed: 1,
+		StoryFraction: 0.5, StoryMentions: 3, BackgroundMentions: 3, BackgroundSkew: 1.1,
+		NoiseMentionProb: 0.25, StoryLifetime: 0.6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := MustAggregator(gen, AggregatorConfig{EpochLength: 25, Decay: 0.85, DocWeight: 1, PruneBelow: 1e-3, DecayMode: DecayRescale})
+	eng := core.MustNew(core.Config{T: 12, Nmax: 4, EnableMaxExplore: true})
+	if _, err := NewReplay(agg, eng, nil).RunBatches(256, false); err != nil {
+		t.Fatal(err)
+	}
+	if agg.Scale() > 1e-20 && agg.Stats().Renorms == 0 {
+		t.Fatalf("λ = %v stayed near 1; fixture too short to grow normalized scores", agg.Scale())
+	}
+	if len(eng.OutputDense()) == 0 {
+		t.Fatal("no output-dense subgraphs; the index check is vacuous")
+	}
+	if msg := eng.ValidateIndex(); msg != "" {
+		t.Fatalf("ValidateIndex: %s (λ = %v)", msg, agg.Scale())
+	}
+}

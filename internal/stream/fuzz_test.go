@@ -1,9 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -144,6 +147,61 @@ func FuzzFileSource(f *testing.F) {
 		for i := range accepted {
 			if again[i] != accepted[i] {
 				t.Fatalf("round trip changed update %d: %+v -> %+v", i, accepted[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzDocReaderSource feeds arbitrary bytes through the document-line decoder
+// into the co-occurrence aggregator, in both decay modes, and checks its
+// safety contract: the stream yields batches whose updates name valid
+// vertices with finite deltas and whose threshold units carry a finite,
+// positive scale, until it ends in an error (io.EOF on clean input) — never
+// a panic. The seeds are a recorded document stream plus the decoder's
+// rejection classes: a negative time, time going backwards, an entity at the
+// index's sentinel, and non-numeric tokens.
+func FuzzDocReaderSource(f *testing.F) {
+	recorded, err := os.ReadFile(filepath.Join("..", "..", "cmd", "dyndens", "testdata", "docs_small.docs"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recorded)
+	for _, s := range []string{
+		"0 1 2 3\n10 2 3 4\n",
+		"-5 1 2\n",
+		"9 1 2\n3 4 5\n",
+		"0 1 2147483647\n",
+		"0 1 99999999999\n",
+		"0 a b\n",
+		"x 1 2\n",
+		"0 1\n0\n",
+		"0 7 7 7 8\n",
+		"# comment\n\n5 1 2 3\n9223372036854775807 1 2\n",
+		"0 1 2\n1000000000 1 2 3\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, mode := range []DecayMode{DecayExact, DecayRescale} {
+			cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05, DecayMode: mode}
+			agg := MustAggregator(NewDocReaderSource("fuzz", bytes.NewReader(data)), cfg)
+			for updates := 0; updates < 100_000; {
+				b, err := agg.NextBatch()
+				if err != nil {
+					break // io.EOF or a rejected line: either ends the stream safely
+				}
+				if th := b.Threshold; th != nil && (!(th.Scale > 0) || math.IsInf(th.Scale, 0)) {
+					t.Fatalf("%s: threshold unit with scale %v", mode, th.Scale)
+				}
+				for _, u := range b.Updates {
+					if math.IsNaN(u.Delta) || math.IsInf(u.Delta, 0) {
+						t.Fatalf("%s: non-finite delta: %+v", mode, u)
+					}
+					if u.A < 0 || u.B < 0 || u.A >= math.MaxInt32 || u.B >= math.MaxInt32 {
+						t.Fatalf("%s: update outside the valid vertex range: %+v", mode, u)
+					}
+				}
+				updates += len(b.Updates)
 			}
 		}
 	})

@@ -62,10 +62,6 @@ type ShardReplayStats struct {
 	Wall  time.Duration // wall clock from the first update to the final flush
 
 	PerShard []ShardLoadStats
-
-	// Ingest carries the front-end's per-stage busy/stall accounting when the
-	// source is a pipelined front-end (stream.Pipeline); nil otherwise.
-	Ingest *IngestStats
 }
 
 // UpdatesPerSecond returns the end-to-end replay throughput (0 before any
@@ -125,9 +121,6 @@ func (s ShardReplayStats) String() string {
 	for _, l := range s.PerShard {
 		fmt.Fprintf(&b, "\nshard %d: delivered=%d applied=%d (fraction=%.2f) busy=%v raw-events=%d",
 			l.Shard, l.Delivered, l.Applied, l.DeliveryFraction(), l.Busy.Round(time.Microsecond), l.RawEvents)
-	}
-	if s.Ingest != nil {
-		b.WriteString("\n" + s.Ingest.String())
 	}
 	return b.String()
 }
@@ -210,10 +203,6 @@ func (r *ShardReplay) Stats() ShardReplayStats {
 	s := r.stats
 	s.Shards = len(es.Loads)
 	s.Events = es.MergedEvents
-	if ir, ok := r.src.(ingestReporter); ok {
-		is := ir.IngestStats()
-		s.Ingest = &is
-	}
 	s.PerShard = make([]ShardLoadStats, len(es.Loads))
 	for i, l := range es.Loads {
 		s.PerShard[i] = ShardLoadStats{

@@ -68,12 +68,6 @@ type ReplayStats struct {
 	// plain Run driver, whose sources carry no provenance.
 	DecaySeg SegmentStats
 	OtherSeg SegmentStats
-
-	// Ingest carries the front-end's per-stage busy/stall accounting when the
-	// source is a pipelined front-end (stream.Pipeline); nil otherwise. Note
-	// Elapsed remains engine-only time: with a pipeline the front-end cost
-	// overlaps it instead of adding to it.
-	Ingest *IngestStats
 }
 
 // UpdatesPerSecond returns the replay throughput (0 before any work).
@@ -104,9 +98,6 @@ func (s ReplayStats) String() string {
 			"\nsegments{decay: %d upd / %d batches / %.0f upd/s | other: %d upd / %d batches / %.0f upd/s}",
 			s.DecaySeg.Updates, s.DecaySeg.Batches, s.DecaySeg.UpdatesPerSecond(),
 			s.OtherSeg.Updates, s.OtherSeg.Batches, s.OtherSeg.UpdatesPerSecond())
-	}
-	if s.Ingest != nil {
-		out += "\n" + s.Ingest.String()
 	}
 	return out
 }
@@ -153,10 +144,6 @@ func (r *Replay) Done() bool { return r.done }
 func (r *Replay) Stats() ReplayStats {
 	s := r.stats
 	s.Events = r.eng.Stats().Events - r.startEvents
-	if ir, ok := r.src.(ingestReporter); ok {
-		is := ir.IngestStats()
-		s.Ingest = &is
-	}
 	return s
 }
 

@@ -15,7 +15,6 @@
 //	benchgate -snapshot BENCH_PR6.json [-min-scoped-speedup 1.5]
 //	benchgate -snapshot BENCH_PR7.json [-min-read-qps 50000]
 //	benchgate -snapshot BENCH_PR8.json [-min-decay-rescale-speedup 5.0]
-//	benchgate -snapshot BENCH_PR9.json [-min-ingest-speedup 1.3]
 //	benchgate -snapshot BENCH_PR10.json [-min-wal-ratio 0.7]
 //
 // The -snapshot form validates a committed `dyndens bench -json`
@@ -32,12 +31,7 @@
 // and a decay_mode_compare block (from `dyndens bench -decay-compare`) must
 // record at least the given rescale-vs-exact elapsed-time speedup on the
 // decay-burst segment — the O(1)-epoch-decay win of normalized weights over
-// the paper-literal per-pair fade sweep; and an ingest_pipeline block (from
-// `dyndens bench -ingest-compare`) must record at least the given
-// pipelined-vs-serial wall-clock ingestion speedup — unless the snapshot
-// records gomaxprocs 1, where a parallel front-end cannot beat serial by
-// construction and the gate reports a skip instead of a verdict; and a
-// wal_overhead block (from `dyndens bench -wal-compare`) must record at
+// the paper-literal per-pair fade sweep; and a wal_overhead block (from `dyndens bench -wal-compare`) must record at
 // least the given fraction of durability-off throughput retained with the
 // document WAL and background snapshotting on (ratio = off wall time / on
 // wall time over the identical workload).
@@ -158,10 +152,7 @@ func gateCompare(base, head map[string][]float64, maxRegress float64, w io.Write
 
 // snapshot is the subset of the `dyndens bench -json` format the gate reads.
 type snapshot struct {
-	Batched bool `json:"batched"`
-	// GOMAXPROCS is the recording machine's usable parallelism; gates on
-	// parallel speedups are skipped (reported, not failed) when it is ≤ 1.
-	GOMAXPROCS   int `json:"gomaxprocs"`
+	Batched      bool `json:"batched"`
 	BatchCompare *struct {
 		DecaySpeedup   float64 `json:"decay_speedup"`
 		OverallSpeedup float64 `json:"overall_speedup"`
@@ -179,10 +170,6 @@ type snapshot struct {
 		DecaySegmentSpeedup float64 `json:"decay_segment_speedup"`
 		OverallSpeedup      float64 `json:"overall_speedup"`
 	} `json:"decay_mode_compare"`
-	IngestPipeline *struct {
-		Workers int     `json:"workers"`
-		Speedup float64 `json:"speedup"`
-	} `json:"ingest_pipeline"`
 	WALOverhead *struct {
 		Ratio     float64 `json:"ratio"`
 		Fsync     bool    `json:"fsync"`
@@ -202,8 +189,6 @@ type snapshotGates struct {
 	ReadQPSSet       bool
 	MinRescale       float64
 	RescaleSet       bool
-	MinIngest        float64
-	IngestSet        bool
 	MinWALRatio      float64
 	WALSet           bool
 }
@@ -267,27 +252,6 @@ func gateSnapshot(path string, data []byte, g snapshotGates, w io.Writer) error 
 		}
 		gated = true
 	}
-	if s.IngestPipeline != nil || g.IngestSet {
-		if s.IngestPipeline == nil {
-			return gateFailf("%s carries no ingest_pipeline block (not an -ingest-compare snapshot)", path)
-		}
-		if s.GOMAXPROCS <= 1 {
-			// A parallel front-end cannot beat the serial one on a single
-			// core by construction, so the floor would only measure the
-			// recording machine. The skip is reported, never silent, and the
-			// block still counts as gated: committing it was deliberate.
-			fmt.Fprintf(w, "%s: ingest-pipeline speedup gate skipped (snapshot records gomaxprocs=%d; parallel speedup is unmeasurable on one core)\n",
-				path, s.GOMAXPROCS)
-		} else {
-			fmt.Fprintf(w, "%s: ingest-pipeline wall-clock speedup %.2fx across %d workers, floor %.2fx\n",
-				path, s.IngestPipeline.Speedup, s.IngestPipeline.Workers, g.MinIngest)
-			if s.IngestPipeline.Speedup < g.MinIngest {
-				return gateFailf("ingest-pipeline speedup %.2fx below the %.2fx floor",
-					s.IngestPipeline.Speedup, g.MinIngest)
-			}
-		}
-		gated = true
-	}
 	if s.WALOverhead != nil || g.WALSet {
 		if s.WALOverhead == nil {
 			return gateFailf("%s carries no wal_overhead block (not a -wal-compare snapshot)", path)
@@ -301,7 +265,7 @@ func gateSnapshot(path string, data []byte, g snapshotGates, w io.Writer) error 
 		gated = true
 	}
 	if !gated {
-		return gateFailf("%s carries no gateable block (want batch_compare, scaling, serve, decay_mode_compare, or ingest_pipeline)", path)
+		return gateFailf("%s carries no gateable block (want batch_compare, scaling, serve, decay_mode_compare, or wal_overhead)", path)
 	}
 	return nil
 }
@@ -316,7 +280,6 @@ func main() {
 	flag.Float64Var(&g.MinScopedSpeedup, "min-scoped-speedup", 1.5, "with -snapshot: minimum required scoped-vs-mirror delivery speedup at K=4 in the scaling block")
 	flag.Float64Var(&g.MinReadQPS, "min-read-qps", 50_000, "with -snapshot: minimum required closed-loop read throughput in the serve block")
 	flag.Float64Var(&g.MinRescale, "min-decay-rescale-speedup", 5.0, "with -snapshot: minimum required rescale-vs-exact elapsed-time speedup on the decay segment in the decay_mode_compare block")
-	flag.Float64Var(&g.MinIngest, "min-ingest-speedup", 1.3, "with -snapshot: minimum required pipelined-vs-serial wall-clock ingestion speedup in the ingest_pipeline block (skipped when the snapshot records gomaxprocs 1)")
 	flag.Float64Var(&g.MinWALRatio, "min-wal-ratio", 0.7, "with -snapshot: minimum fraction of durability-off throughput the WAL-on pass must retain in the wal_overhead block")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
@@ -329,8 +292,6 @@ func main() {
 			g.ReadQPSSet = true
 		case "min-decay-rescale-speedup":
 			g.RescaleSet = true
-		case "min-ingest-speedup":
-			g.IngestSet = true
 		case "min-wal-ratio":
 			g.WALSet = true
 		}

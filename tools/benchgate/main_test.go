@@ -154,35 +154,6 @@ func TestGateSnapshotSelection(t *testing.T) {
 			gateFail: true,
 		},
 		{
-			name:  "ingest block passes its floor",
-			json:  `{"gomaxprocs": 8, "ingest_pipeline": {"workers": 8, "speedup": 2.4}}`,
-			gates: snapshotGates{MinIngest: 1.3},
-		},
-		{
-			name:     "ingest block below floor",
-			json:     `{"gomaxprocs": 8, "ingest_pipeline": {"workers": 8, "speedup": 1.1}}`,
-			gates:    snapshotGates{MinIngest: 1.3},
-			wantErr:  "ingest-pipeline speedup 1.10x below the 1.30x floor",
-			gateFail: true,
-		},
-		{
-			name:  "ingest block skipped on a single-core snapshot",
-			json:  `{"gomaxprocs": 1, "ingest_pipeline": {"workers": 4, "speedup": 0.9}}`,
-			gates: snapshotGates{MinIngest: 1.3},
-		},
-		{
-			name:  "ingest skip on a legacy snapshot without gomaxprocs",
-			json:  `{"ingest_pipeline": {"workers": 4, "speedup": 0.9}}`,
-			gates: snapshotGates{MinIngest: 1.3},
-		},
-		{
-			name:     "explicit ingest flag with missing block",
-			json:     `{"serve": {"readers": 4, "read_qps": 120000}}`,
-			gates:    snapshotGates{MinReadQPS: 50_000, MinIngest: 1.3, IngestSet: true},
-			wantErr:  "no ingest_pipeline block",
-			gateFail: true,
-		},
-		{
 			name:  "wal block passes its floor",
 			json:  `{"wal_overhead": {"ratio": 0.93, "frames": 20000, "snapshots": 4}}`,
 			gates: snapshotGates{MinWALRatio: 0.7},
@@ -231,21 +202,6 @@ func TestGateSnapshotSelection(t *testing.T) {
 				t.Fatalf("gateFail = %v, want %v (err %v)", isGateFail(err), c.gateFail, err)
 			}
 		})
-	}
-}
-
-// TestGateSnapshotIngestSkipReported pins that the single-core skip is a
-// reported decision, not a silent pass: the gate succeeds (the block counts
-// as gated, so an ingest-only snapshot does not hit the no-gateable-block
-// failure) and the report names the skip and the recorded gomaxprocs.
-func TestGateSnapshotIngestSkipReported(t *testing.T) {
-	var out strings.Builder
-	j := `{"gomaxprocs": 1, "ingest_pipeline": {"workers": 4, "speedup": 0.9}}`
-	if err := gateSnapshot("snap.json", []byte(j), snapshotGates{MinIngest: 1.3}, &out); err != nil {
-		t.Fatalf("single-core snapshot should pass via skip, got %v", err)
-	}
-	if !strings.Contains(out.String(), "skipped") || !strings.Contains(out.String(), "gomaxprocs=1") {
-		t.Fatalf("skip not reported:\n%s", out.String())
 	}
 }
 
